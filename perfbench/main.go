@@ -36,7 +36,8 @@ type settings struct {
 	threads   int
 	blockDur  time.Duration // timed ops per runtime per rotation slot
 	warmup    int           // untimed ops after each runtime is built
-	setupReps int           // set-ups measured; setup_s is their median
+	setupReps int           // set-ups measured at least; setup_s is their median
+	setupFor  time.Duration // and until their timed parts add up to this
 	traceCap  int           // trace buffer capacity, events
 	outDir    string        // where reports go; empty writes none
 }
@@ -48,6 +49,7 @@ func main() {
 		blockDur:  400 * time.Millisecond,
 		warmup:    1,
 		setupReps: 5,
+		setupFor:  time.Second,
 		traceCap:  1 << 19,
 	}
 	flag.StringVar(&s.workload, "workload", "", "workload: cloverleaf, nested, cg-tasks or dataflow")
@@ -146,6 +148,7 @@ type rtRun struct {
 	OpMs       []float64 `json:"op_ms"`                  // untraced timed ops, in order
 	TracedOpMs []float64 `json:"traced_op_ms,omitempty"` // traced timed ops, in order
 	NewMs      []float64 `json:"new_ms"`                 // openmp.New, per block
+	LiveMB     []float64 `json:"live_mb,omitempty"`      // live memory at the end of each untraced block
 	Attempted  int       `json:"attempted"`
 	Failed     int       `json:"failed"`
 	FirstError string    `json:"first_error,omitempty"`
@@ -186,6 +189,7 @@ type report struct {
 	Runtimes []*rtRun  `json:"runtimes"`
 	Bypass   []string  `json:"bypass_violations,omitempty"`
 	Dropped  int64     `json:"trace_events_dropped"`
+	SysMB    float64   `json:"sys_mb"` // MemStats.Sys at the end of the run
 	Result   result    `json:"result"`
 }
 
@@ -232,27 +236,30 @@ func run(s settings) (*report, error) {
 		res.Attempted += rr.Attempted
 		res.Failed += rr.Failed
 	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	rep.SysMB = float64(ms.Sys) / (1 << 20)
 	if s.trace {
 		rep.Bypass = bypassViolations(s.workload, rep.Runtimes)
 		layerMetrics(res.Metrics, s, rep)
 	} else {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		endToEndMetrics(res.Metrics, rep, float64(ms.Sys)/(1<<20))
+		endToEndMetrics(res.Metrics, rep)
 	}
 	res.Correct = res.Failed == 0 && len(rep.Bypass) == 0
 	rep.Result = res
 	return rep, nil
 }
 
-// setup measures the run's set-up setupReps times: input generation plus,
-// for each runtime, its construction, warm-up ops and shutdown. Each set-up
+// setup measures the run's set-up at least setupReps times, and until the
+// measured set-ups add up to setupFor: input generation plus, for each
+// runtime, its construction, warm-up ops and shutdown. Each set-up
 // starts from fresh inputs, whose oracle is computed outside the timed part,
 // and the previous set-up's inputs are collected before it, so the heap
 // never holds two inputs. It returns the last inputs.
 func setup(s settings, sp spec, rep *report) (workload, error) {
 	var w workload
-	for i := 0; i < s.setupReps; i++ {
+	var total time.Duration
+	for i := 0; i < s.setupReps || total < s.setupFor; i++ {
 		w = nil
 		runtime.GC()
 		t0 := time.Now()
@@ -267,7 +274,9 @@ func setup(s settings, sp spec, rep *report) (workload, error) {
 			}
 			rep.Runtimes[i].ops.merge(warm)
 		}
-		rep.SetupS = append(rep.SetupS, (gen + time.Since(t1)).Seconds())
+		d := gen + time.Since(t1)
+		total += d
+		rep.SetupS = append(rep.SetupS, d.Seconds())
 	}
 	return w, nil
 }
@@ -282,6 +291,7 @@ func timedPass(s settings, sp spec, w workload, rep *report) error {
 			rr := rep.Runtimes[i]
 			newDur, warm, err := session(w, r, sp.wait, s.threads, s.warmup, func(rt omp.Runtime) {
 				rr.addBlock(timeOps(w, rt, s.blockDur, false, nil), false)
+				rr.LiveMB = append(rr.LiveMB, liveMB())
 			})
 			if err != nil {
 				return err
@@ -354,14 +364,16 @@ func bypassViolations(workload string, rts []*rtRun) []string {
 }
 
 // endToEndMetrics fills the --trace 0 metrics.
-func endToEndMetrics(m map[string]metric, rep *report, sysMB float64) {
+func endToEndMetrics(m map[string]metric, rep *report) {
+	var live float64
 	for _, rr := range rep.Runtimes {
 		ops := append([]float64(nil), rr.OpMs...)
 		m[rr.Label+".op_p50_ms"] = metric{hdMedian(ops), "ms"}
 		m[rr.Label+".ops_per_s"] = metric{float64(len(rr.OpMs)) / (sum(rr.OpMs) / 1e3), "1/s"}
+		live += median(append([]float64(nil), rr.LiveMB...)) / float64(len(rep.Runtimes))
 	}
 	m["setup_s"] = metric{median(append([]float64(nil), rep.SetupS...)), "s"}
-	m["mem_sys_mb"] = metric{sysMB, "MB"}
+	m["mem_live_mb"] = metric{live, "MB"}
 }
 
 // ratio is a/b, or 0 when b is 0 (the layer was bypassed).

@@ -189,6 +189,17 @@ func timeOps(w workload, rt omp.Runtime, dur time.Duration, allocs bool, tr *spa
 	return b
 }
 
+// liveMB collects garbage and returns the live heap plus goroutine stacks,
+// in MB. Unlike MemStats.Sys, a high-water mark whose quartile spread on
+// dataflow was 4 MB (37% of its median) across identical runs, it depends
+// only on what the inputs and the live runtime hold.
+func liveMB() float64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return float64(ms.HeapAlloc+ms.StackInuse) / (1 << 20)
+}
+
 // median of xs, which it sorts.
 func median(xs []float64) float64 {
 	if len(xs) == 0 {
